@@ -13,9 +13,14 @@
 //!   prefix of consecutive k_max-mers changes).
 //!
 //! The result is larger than the ternary tree but strictly streaming: taxID
-//! retrieval is a single sorted-merge pass over the intersecting k-mers and
-//! the KSS tables, which is exactly what the per-channel Intersect units can
-//! do at flash bandwidth.
+//! retrieval ([`KssTables::stream_retrieve`]) is a single sorted-merge pass
+//! over the intersecting k-mers and the KSS tables, which is exactly what the
+//! per-channel Intersect units can do at flash bandwidth. The pass keeps one
+//! forward-only cursor into the k_max table, one into each prefix table, and
+//! one at the start of each prefix's run of k_max-mers. Sorted queries have
+//! non-decreasing prefixes at every length, so no cursor ever moves back:
+//! each cursor crosses its table at most once, and each query costs gallops
+//! logarithmic in the distances its cursors advance.
 
 use std::collections::HashMap;
 
@@ -172,10 +177,20 @@ impl KssTables {
     }
 
     /// Streaming taxID retrieval over a *sorted* list of intersecting query
-    /// k-mers: one merge pass per table, mirroring the in-SSD dataflow
-    /// (consecutive queries sharing a prefix reuse the previous entry instead
-    /// of a new lookup — the Index Generator optimization). Returns per-taxon
-    /// support counts.
+    /// k-mers, mirroring the in-SSD dataflow. Returns per-taxon support
+    /// counts: each taxon [`KssTables::lookup`] returns for a query counts
+    /// once per occurrence of that query.
+    ///
+    /// The pass is a single sorted merge. The k_max table, each prefix
+    /// table, and each prefix table's run of k_max-mers sharing the current
+    /// prefix have one cursor each, and every cursor only gallops forward
+    /// from where the previous query left it. That is sound because the
+    /// length-k prefixes of sorted queries are non-decreasing for every k,
+    /// so each cursor's target is too. Work is proportional to the queries
+    /// and the log of the distances the cursors skip, not to the table
+    /// sizes. One taxa buffer is reused across queries: it is refilled,
+    /// sorted and deduplicated once per distinct query, and a run of equal
+    /// queries reuses it (the Index Generator optimization).
     ///
     /// # Panics
     ///
@@ -183,22 +198,66 @@ impl KssTables {
     pub fn stream_retrieve(&self, sorted_queries: &[Kmer]) -> HashMap<TaxId, u32> {
         debug_assert!(sorted_queries.windows(2).all(|w| w[0] <= w[1]));
         let mut support: HashMap<TaxId, u32> = HashMap::new();
-        let mut previous: Option<(Kmer, Vec<TaxId>)> = None;
-        for query in sorted_queries {
-            let taxa = match &previous {
-                Some((prev, taxa)) if prev == query => taxa.clone(),
-                _ => {
-                    let taxa = self.lookup(*query);
-                    previous = Some((*query, taxa.clone()));
-                    taxa
+        let mut kmax_cursor = 0;
+        // Per prefix table: (entry cursor, start of the k_max-mer run).
+        let mut cursors = vec![(0, 0); self.prefix_tables.len()];
+        let mut taxa: Vec<TaxId> = Vec::new();
+        let mut previous: Option<Kmer> = None;
+        for &query in sorted_queries {
+            if previous != Some(query) {
+                previous = Some(query);
+                taxa.clear();
+                kmax_cursor = advance(&self.kmax_table, kmax_cursor, |(k, _)| *k < query);
+                if let Some((k, t)) = self.kmax_table.get(kmax_cursor) {
+                    if *k == query {
+                        taxa.extend_from_slice(t);
+                    }
                 }
-            };
-            for t in taxa {
-                *support.entry(t).or_insert(0) += 1;
+                for (table, (entry, run)) in self.prefix_tables.iter().zip(&mut cursors) {
+                    if table.k > query.k() {
+                        continue;
+                    }
+                    let prefix = query.prefix(table.k);
+                    *entry = advance(&table.entries, *entry, |(k, _)| *k < prefix);
+                    match table.entries.get(*entry) {
+                        Some((k, t)) if *k == prefix => taxa.extend_from_slice(t),
+                        _ => continue,
+                    }
+                    // As in `lookup`: the taxa attributed to the k_max-mers
+                    // sharing this prefix, a contiguous run of the k_max table.
+                    *run = advance(&self.kmax_table, *run, |(k, _)| k.prefix(table.k) < prefix);
+                    for (_, t) in self.kmax_table[*run..]
+                        .iter()
+                        .take_while(|(k, _)| k.prefix(table.k) == prefix)
+                    {
+                        taxa.extend_from_slice(t);
+                    }
+                }
+                taxa.sort_unstable();
+                taxa.dedup();
+            }
+            for t in &taxa {
+                *support.entry(*t).or_insert(0) += 1;
             }
         }
         support
     }
+}
+
+/// First index at or after `from` whose element fails `before`, where
+/// `before` holds on a prefix of `slice` that ends at or after `from`.
+/// Gallops: probes 1, 2, 4, … elements ahead until it overshoots, then
+/// binary-searches the bracket, so it costs `O(log d)` comparisons for an
+/// advance of `d`.
+fn advance<T>(slice: &[T], from: usize, before: impl Fn(&T) -> bool) -> usize {
+    let mut lo = from;
+    let mut step = 1;
+    while lo + step < slice.len() && before(&slice[lo + step]) {
+        lo += step;
+        step <<= 1;
+    }
+    let hi = (lo + step).min(slice.len());
+    lo + slice[lo..hi].partition_point(before)
 }
 
 #[cfg(test)]
@@ -282,5 +341,88 @@ mod tests {
         assert_eq!(kss.size_bytes(), ByteSize::ZERO);
         let q = Kmer::from_ascii(b"ACGTACGTACGTACGTACGTACGTACGTACG").unwrap();
         assert!(kss.lookup(q).is_empty());
+        assert!(kss.stream_retrieve(&[]).is_empty());
+        assert!(kss.stream_retrieve(&[q, q]).is_empty());
+    }
+
+    /// Support counts as the per-query oracle sees them: `lookup` on every
+    /// query, summed.
+    fn support_by_lookup(kss: &KssTables, queries: &[Kmer]) -> HashMap<TaxId, u32> {
+        let mut support = HashMap::new();
+        for q in queries {
+            for t in kss.lookup(*q) {
+                *support.entry(t).or_insert(0) += 1;
+            }
+        }
+        support
+    }
+
+    /// `kmer` followed by `extra` random bases.
+    fn extend(rng: &mut rand::rngs::StdRng, kmer: Kmer, extra: usize) -> Kmer {
+        use rand::Rng;
+        let mut bits = kmer.bits();
+        for _ in 0..extra {
+            bits = (bits << 2) | rng.gen_range(0..4u64) as u128;
+        }
+        Kmer::from_bits(bits, kmer.k() + extra)
+    }
+
+    #[test]
+    fn stream_retrieve_matches_per_query_lookup() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let refs = ReferenceCollection::synthetic(12, 1500, 77);
+        for config in [SketchConfig::small(), SketchConfig::default()] {
+            let kss = KssTables::build(&SketchDatabase::build(&refs, config));
+            let k_max = kss.k_max();
+            assert!(!kss.is_empty() && !kss.prefix_tables.is_empty());
+            let mut rng = StdRng::seed_from_u64(0x6b55);
+            for _ in 0..60 {
+                let mut queries = Vec::new();
+                for _ in 0..rng.gen_range(0..120usize) {
+                    match rng.gen_range(0..5u32) {
+                        // An exact k_max hit.
+                        0 => {
+                            let i = rng.gen_range(0..kss.kmax_table.len());
+                            queries.push(kss.kmax_table[i].0);
+                        }
+                        // A k-mer that matches a smaller-k prefix entry.
+                        1 => {
+                            let table =
+                                &kss.prefix_tables[rng.gen_range(0..kss.prefix_tables.len())];
+                            let prefix = table.entries[rng.gen_range(0..table.entries.len())].0;
+                            queries.push(extend(&mut rng, prefix, k_max - prefix.k()));
+                        }
+                        // A long run of k-mers sharing the prefix of a hit.
+                        2 => {
+                            let kmer = kss.kmax_table[rng.gen_range(0..kss.kmax_table.len())].0;
+                            let prefix = kmer.prefix(config.k_min);
+                            for _ in 0..rng.gen_range(2..30usize) {
+                                queries.push(extend(&mut rng, prefix, k_max - config.k_min));
+                            }
+                        }
+                        // Consecutive duplicates of an exact hit.
+                        3 => {
+                            let kmer = kss.kmax_table[rng.gen_range(0..kss.kmax_table.len())].0;
+                            let copies = rng.gen_range(2..6usize);
+                            queries.extend(std::iter::repeat_n(kmer, copies));
+                        }
+                        // Almost surely absent from every table.
+                        _ => {
+                            let first = Kmer::from_bits(rng.gen_range(0..4u64) as u128, 1);
+                            queries.push(extend(&mut rng, first, k_max - 1));
+                        }
+                    }
+                }
+                queries.sort();
+                assert_eq!(
+                    kss.stream_retrieve(&queries),
+                    support_by_lookup(&kss, &queries),
+                    "{config:?}, {} queries",
+                    queries.len()
+                );
+            }
+        }
     }
 }

@@ -7,6 +7,13 @@
 //! the K-mer Sketch Streaming tables to retrieve their taxIDs (§4.3.2), and
 //! the taxIDs of the candidate species are sent to the host.
 //!
+//! Only the intersection streams the k-mer database. The rest of Step 2
+//! follows the sample: taxID retrieval ([`KssTables::stream_retrieve`]) is
+//! one forward cursor pass over the KSS tables whose work grows with the
+//! intersecting k-mers and the log of the distances the cursors skip, and
+//! presence calling ([`SketchDatabase::presence_from_support`]) costs one
+//! binary search over the build-time sketch-size column per supported taxon.
+//!
 //! This module is the functional implementation; its results are identical to
 //! the S-Qry baseline's by construction (same database, same sketch content,
 //! same presence-calling thresholds). The performance model for this step

@@ -100,6 +100,9 @@ pub struct SketchDatabase {
     config: Option<SketchConfig>,
     /// One sorted table per k size (largest k first).
     tables: Vec<(usize, SketchTable)>,
+    /// Per-taxon sketch sizes (k-mers across all k sizes), sorted by taxID:
+    /// the containment-index denominators, counted once at build time.
+    sketch_sizes: Vec<(TaxId, usize)>,
 }
 
 impl SketchDatabase {
@@ -107,10 +110,12 @@ impl SketchDatabase {
     ///
     /// For every taxon and every configured k size, the k-mers whose
     /// [`sketch_hash`] falls in the bottom `fraction` of the hash space are
-    /// selected as that taxon's sketch.
+    /// selected as that taxon's sketch. Each taxon's sketch size (the
+    /// containment denominator) is counted in the same pass.
     pub fn build(references: &ReferenceCollection, config: SketchConfig) -> SketchDatabase {
         let threshold = (config.fraction.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
         let mut tables = Vec::new();
+        let mut sketch_sizes: BTreeMap<TaxId, usize> = BTreeMap::new();
         for k in config.k_sizes() {
             let mut map: BTreeMap<Kmer, Vec<TaxId>> = BTreeMap::new();
             for genome in references.genomes() {
@@ -131,6 +136,9 @@ impl SketchDatabase {
                 .into_iter()
                 .map(|(kmer, mut taxa)| {
                     taxa.sort();
+                    for taxid in &taxa {
+                        *sketch_sizes.entry(*taxid).or_insert(0) += 1;
+                    }
                     (kmer, taxa)
                 })
                 .collect();
@@ -139,6 +147,7 @@ impl SketchDatabase {
         SketchDatabase {
             config: Some(config),
             tables,
+            sketch_sizes: sketch_sizes.into_iter().collect(),
         }
     }
 
@@ -228,18 +237,26 @@ impl SketchDatabase {
     }
 
     /// Number of sketch k-mers (across all k sizes) associated with a taxon —
-    /// the denominator of the containment index used for presence calling.
+    /// the denominator of the containment index used for presence calling;
+    /// 0 for a taxon absent from the sketch.
+    ///
+    /// The sizes are counted once by [`SketchDatabase::build`] into a column
+    /// sorted by taxID, so this is a binary search: `O(log T)` for `T` taxa,
+    /// independent of the number of sketch k-mers.
     pub fn sketch_size_of(&self, taxid: TaxId) -> usize {
-        self.tables
-            .iter()
-            .map(|(_, t)| t.iter().filter(|(_, taxa)| taxa.contains(&taxid)).count())
-            .sum()
+        self.sketch_sizes
+            .binary_search_by_key(&taxid, |(t, _)| *t)
+            .map_or(0, |i| self.sketch_sizes[i].1)
     }
 
     /// Calls presence from per-taxon sketch-match support counts using a
     /// containment-index threshold: a taxon is reported present when at least
     /// `min_containment` of its sketch k-mers were matched (and at least
     /// `min_support` matches were seen).
+    ///
+    /// Each supported taxon costs one [`SketchDatabase::sketch_size_of`]
+    /// lookup, so the call is `O(|support| · log T)`: it follows the sample's
+    /// matched taxa, not the size of the sketch database.
     ///
     /// Both the S-Qry baseline (ternary-tree retrieval) and MegIS (KSS
     /// retrieval) produce the same support counts for the same sample, so
@@ -264,14 +281,7 @@ impl SketchDatabase {
 
     /// All taxa that appear anywhere in the sketch database.
     pub fn taxa(&self) -> Vec<TaxId> {
-        let mut taxa: Vec<TaxId> = self
-            .tables
-            .iter()
-            .flat_map(|(_, t)| t.iter().flat_map(|(_, taxa)| taxa.iter().copied()))
-            .collect();
-        taxa.sort();
-        taxa.dedup();
-        taxa
+        self.sketch_sizes.iter().map(|(t, _)| *t).collect()
     }
 }
 
@@ -351,6 +361,83 @@ mod tests {
         let db = SketchDatabase::build(&refs(), SketchConfig::small());
         let bytes = db.flat_table_bytes();
         assert!(bytes as usize >= db.total_kmers() * 6);
+    }
+
+    /// The denominator as a full scan of every sketch table: the reference
+    /// the build-time sketch-size column is checked against.
+    fn brute_sketch_size(db: &SketchDatabase, taxid: TaxId) -> usize {
+        db.tables
+            .iter()
+            .map(|(_, t)| t.iter().filter(|(_, taxa)| taxa.contains(&taxid)).count())
+            .sum()
+    }
+
+    #[test]
+    fn sketch_size_column_matches_table_scan() {
+        for config in [SketchConfig::small(), SketchConfig::default()] {
+            let db = SketchDatabase::build(&refs(), config);
+            let taxa = db.taxa();
+            let mut scanned: Vec<TaxId> = db
+                .tables
+                .iter()
+                .flat_map(|(_, t)| t.iter().flat_map(|(_, taxa)| taxa.iter().copied()))
+                .collect();
+            scanned.sort();
+            scanned.dedup();
+            assert!(!taxa.is_empty());
+            assert_eq!(taxa, scanned);
+            for taxid in &taxa {
+                assert!(db.sketch_size_of(*taxid) > 0);
+                assert_eq!(db.sketch_size_of(*taxid), brute_sketch_size(&db, *taxid));
+            }
+            let absent = TaxId(taxa.iter().map(|t| t.0).max().unwrap_or(0) + 1);
+            assert_eq!(db.sketch_size_of(absent), 0);
+            assert_eq!(brute_sketch_size(&db, absent), 0);
+        }
+        let empty = SketchDatabase::default();
+        assert!(empty.taxa().is_empty());
+        assert_eq!(empty.sketch_size_of(TaxId(0)), 0);
+        assert!(empty
+            .presence_from_support(&[(TaxId(0), 5)].into_iter().collect(), 0.0, 0)
+            .is_empty());
+    }
+
+    #[test]
+    fn presence_from_support_matches_brute_force() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        let db = SketchDatabase::build(&refs(), SketchConfig::small());
+        let taxa = db.taxa();
+        let mut rng = StdRng::seed_from_u64(0x5e7c4);
+        for _ in 0..200 {
+            // Support over known taxa plus taxa the sketch never saw.
+            let mut support: HashMap<TaxId, u32> = HashMap::new();
+            for _ in 0..rng.gen_range(0..12usize) {
+                let taxid = if rng.gen_bool(0.8) {
+                    taxa[rng.gen_range(0..taxa.len())]
+                } else {
+                    TaxId(rng.gen_range(1000..1100u32))
+                };
+                support.insert(taxid, rng.gen_range(0..400u32));
+            }
+            let min_containment = rng.gen_range(0.0..0.5);
+            let min_support = rng.gen_range(0..50u32);
+            let expected = crate::profile::PresenceResult::from_taxa(support.iter().filter_map(
+                |(taxid, count)| {
+                    let size = brute_sketch_size(&db, *taxid);
+                    (size > 0
+                        && *count as f64 / size as f64 >= min_containment
+                        && *count >= min_support)
+                        .then_some(*taxid)
+                },
+            ));
+            assert_eq!(
+                db.presence_from_support(&support, min_containment, min_support),
+                expected
+            );
+        }
     }
 
     #[test]

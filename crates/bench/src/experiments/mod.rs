@@ -8,7 +8,6 @@
 //! EXPERIMENTS.md records).
 
 mod accuracy;
-mod coalescing_sweep;
 mod comparison;
 mod energy;
 mod engine;
@@ -23,9 +22,6 @@ mod step3_scaling;
 mod trace_overhead;
 
 pub use accuracy::accuracy_analysis;
-pub use coalescing_sweep::{
-    coalescing_sweep, coalescing_sweep_measure, CoalescingMeasurement, CoalescingRow,
-};
 pub use comparison::{
     fig18_cost_efficiency, fig19_pim_comparison, fig20_abundance, fig21_multi_sample,
 };
@@ -70,7 +66,6 @@ pub fn all() -> String {
         step3_scaling(),
         trace_overhead(),
         fault_recovery(),
-        coalescing_sweep(),
         hotpath(),
         table2_area_power(),
         kss_size_analysis(),
@@ -108,14 +103,13 @@ mod tests {
             ("fig21", super::fig21_multi_sample()),
             ("fig21-engine", super::fig21_batch_engine()),
             ("streaming-load", super::streaming_load_analysis()),
-            // `hotpath`, `step3_scaling`, `trace_overhead`,
-            // `fault_recovery`, and `coalescing_sweep` are deliberately
-            // absent: the first's cache-oversized fixture makes a full
-            // measurement expensive, the others sleep simulated device
-            // streams, and all five have test modules that already run
-            // (and assert on) one measurement — duplicating them here
-            // would pay that cost twice per test run for a non-emptiness
-            // check.
+            // `hotpath`, `step3_scaling`, `trace_overhead`, and
+            // `fault_recovery` are deliberately absent: the first's
+            // cache-oversized fixture makes a full measurement expensive,
+            // the others sleep simulated device streams, and all four have
+            // test modules that already run (and assert on) one
+            // measurement — duplicating them here would pay that cost twice
+            // per test run for a non-emptiness check.
             ("table2", super::table2_area_power()),
             ("kss", super::kss_size_analysis()),
             ("energy", super::energy_analysis()),

@@ -474,74 +474,6 @@ impl SortedKmerDatabase {
         out
     }
 
-    /// One galloping sweep over this database serving several sorted query
-    /// lists at once — the coalesced form of
-    /// [`SortedKmerDatabase::intersect_sorted`].
-    ///
-    /// The member lists are consumed through a k-way merged query cursor:
-    /// each iteration picks the smallest current query value across all
-    /// members, gallops the database column to it **once** (carrying the
-    /// same advance-distance hint as the single-sample merge), and then
-    /// demultiplexes the hit to every member whose cursor sits on that
-    /// value. The database column is therefore walked a single time no
-    /// matter how many members share the sweep, which is what amortizes one
-    /// CSR range scan over N co-resident samples.
-    ///
-    /// Returns one hit list per member, in member order; each list is
-    /// byte-identical to `self.intersect_sorted(member)` run independently
-    /// (the seeded property suite asserts the equivalence for random member
-    /// counts and duplicate/disjoint/subset/empty slices).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any member slice is not sorted.
-    pub fn intersect_sorted_multi(&self, members: &[&[Kmer]]) -> Vec<Vec<Kmer>> {
-        for m in members {
-            debug_assert!(m.windows(2).all(|w| w[0] <= w[1]));
-        }
-        let db = self.kmer_slice();
-        let mut outs: Vec<Vec<Kmer>> = members.iter().map(|_| Vec::new()).collect();
-        let mut cursors = vec![0usize; members.len()];
-        let mut di = 0usize;
-        let mut db_hint = 1usize;
-        while di < db.len() {
-            // The merged cursor's head: the smallest un-consumed query value
-            // across all members (a linear scan — member counts are small,
-            // bounded by the dispatcher's batching cap).
-            let mut head: Option<Kmer> = None;
-            for (c, m) in cursors.iter().zip(members) {
-                if let Some(v) = m.get(*c) {
-                    head = Some(match head {
-                        Some(h) if h <= *v => h,
-                        _ => *v,
-                    });
-                }
-            }
-            let Some(q) = head else { break };
-            // One hinted gallop positions the shared database cursor at the
-            // first entry >= q — the only database walk this value pays.
-            if db[di] < q {
-                let advance = gallop(&db[di..], q, db_hint);
-                db_hint = advance;
-                di += advance;
-            }
-            let present = di < db.len() && db[di] == q;
-            // Demultiplex: every member sitting on q consumes it (and any
-            // duplicates) and records the hit if the database holds it.
-            for ((c, m), out) in cursors.iter_mut().zip(members).zip(&mut outs) {
-                if m.get(*c) == Some(&q) {
-                    while m.get(*c) == Some(&q) {
-                        *c += 1;
-                    }
-                    if present {
-                        out.push(q);
-                    }
-                }
-            }
-        }
-        outs
-    }
-
     /// The element-at-a-time two-pointer merge — exactly the access pattern
     /// MegIS's per-channel Intersect units perform on data arriving from the
     /// flash channels and the internal DRAM (§4.3.1). Kept as the reference
@@ -1620,126 +1552,6 @@ mod tests {
             }
         }
         assert_eq!(best, Some(hit));
-    }
-
-    #[test]
-    fn multi_sweep_edge_shapes_match_independent_calls() {
-        let db = SortedKmerDatabase::build(&refs(), 21);
-        let all: Vec<Kmer> = db.kmers().collect();
-
-        // No members at all: an empty sweep.
-        assert!(db.intersect_sorted_multi(&[]).is_empty());
-        // A single member reproduces the single-sample merge exactly.
-        assert_eq!(db.intersect_sorted_multi(&[&all]), vec![all.clone()]);
-        // Empty member slices produce empty hit lists without disturbing
-        // their neighbours.
-        let sparse: Vec<Kmer> = all.iter().step_by(7).copied().collect();
-        let got = db.intersect_sorted_multi(&[&[], &sparse, &[]]);
-        assert_eq!(got, vec![Vec::new(), sparse.clone(), Vec::new()]);
-        // An empty database yields empty hit lists for every member.
-        let empty = SortedKmerDatabase::default();
-        assert_eq!(
-            empty.intersect_sorted_multi(&[&all, &sparse]),
-            vec![Vec::new(), Vec::new()]
-        );
-    }
-
-    #[test]
-    fn seeded_multi_sweep_property_suite() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let r = refs();
-        let db = SortedKmerDatabase::build(&r, 21);
-        let all: Vec<Kmer> = db.kmers().collect();
-        // Foreign k-mers: drawn from an unrelated collection, so member
-        // slices built from them are (mostly) disjoint from the database.
-        let outsiders = ReferenceCollection::synthetic(2, 500, 2024);
-        let mut foreign: Vec<Kmer> = KmerExtractor::new(outsiders.genomes()[0].sequence(), 21)
-            .map(|k| k.canonical())
-            .collect();
-        foreign.sort();
-        foreign.dedup();
-
-        let mut rng = StdRng::seed_from_u64(0xc0a1_e5ce);
-        for trial in 0..60 {
-            let member_count: usize = rng.gen_range(1..=8);
-            let members: Vec<Vec<Kmer>> = (0..member_count)
-                .map(|_| {
-                    let mut q: Vec<Kmer> = match rng.gen_range(0..5u32) {
-                        // Empty member slice.
-                        0 => Vec::new(),
-                        // Disjoint: queries the database does not hold.
-                        1 => {
-                            let step = rng.gen_range(1..7usize);
-                            foreign.iter().step_by(step).copied().collect()
-                        }
-                        // Subset: every query hits.
-                        2 => {
-                            let step = rng.gen_range(1..17usize);
-                            all.iter().step_by(step).copied().collect()
-                        }
-                        // Duplicates: a subset with every element doubled —
-                        // outputs must stay deduplicated.
-                        3 => {
-                            let step = rng.gen_range(2..9usize);
-                            let base: Vec<Kmer> = all.iter().step_by(step).copied().collect();
-                            let mut dup = base.clone();
-                            dup.extend(base);
-                            dup
-                        }
-                        // Mixed hits and misses.
-                        _ => {
-                            let mut mix: Vec<Kmer> = all
-                                .iter()
-                                .step_by(rng.gen_range(3..11usize))
-                                .copied()
-                                .collect();
-                            mix.extend(foreign.iter().step_by(rng.gen_range(2..9usize)).copied());
-                            mix
-                        }
-                    };
-                    q.sort();
-                    q
-                })
-                .collect();
-            let slices: Vec<&[Kmer]> = members.iter().map(Vec::as_slice).collect();
-            let multi = db.intersect_sorted_multi(&slices);
-            assert_eq!(multi.len(), members.len());
-            for (i, (member, got)) in members.iter().zip(&multi).enumerate() {
-                assert_eq!(
-                    got,
-                    &db.intersect_sorted(member),
-                    "trial {trial} member {i}: coalesced sweep diverged from \
-                     the independent galloping merge"
-                );
-                assert_eq!(
-                    got,
-                    &db.intersect_sorted_two_pointer(member),
-                    "trial {trial} member {i}: coalesced sweep diverged from \
-                     the two-pointer oracle"
-                );
-            }
-
-            // The same members pushed through a sharded layout with
-            // per-member overlap pre-filtering (exactly the worker's access
-            // pattern) must demux identically.
-            let parts = rng.gen_range(2..5usize);
-            for shard in db.partition(parts) {
-                let overlaps: Vec<&[Kmer]> = members
-                    .iter()
-                    .map(|m| &m[shard.overlapping_query_range(m)])
-                    .collect();
-                let shard_multi = shard.intersect_sorted_multi(&overlaps);
-                for (i, (member, got)) in members.iter().zip(&shard_multi).enumerate() {
-                    assert_eq!(
-                        got,
-                        &shard.intersect_sorted(member),
-                        "trial {trial} member {i}: sharded sweep diverged"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -836,12 +836,10 @@ fn bounded_send(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
 /// The `ShardStats` counter fields whose writes must go through named
 /// accessors. Identity fields (`shard`, `dead`) are not counters and are
 /// out of scope.
-const SHARDSTATS_COUNTERS: [&str; 12] = [
+const SHARDSTATS_COUNTERS: [&str; 10] = [
     "busy",
     "jobs",
     "query_items",
-    "coalesced_commands",
-    "coalesced_members",
     "step3_jobs",
     "step3_items",
     "stolen_items",
@@ -1095,7 +1093,7 @@ mod tests {
         assert_eq!(rules_of(src), vec![SHARDSTATS_ACCESSOR]);
         let src = "fn f(stats: &mut ShardStats) { stats.jobs += 1; }";
         assert_eq!(rules_of(src), vec![SHARDSTATS_ACCESSOR]);
-        let src = "fn f(shard_stats: &mut [ShardStats]) { shard_stats[i].coalesced_members += 2; }";
+        let src = "fn f(shard_stats: &mut [ShardStats]) { shard_stats[i].stolen_items += 2; }";
         assert_eq!(rules_of(src), vec![SHARDSTATS_ACCESSOR]);
     }
 

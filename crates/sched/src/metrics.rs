@@ -167,19 +167,7 @@ pub struct ShardStats {
     /// Total query k-mers this shard scanned across all commands. With
     /// range-partitioned dispatch the per-job sum across shards equals the
     /// job's query count |Q| — not the N·|Q| a broadcast would cost.
-    /// Coalescing does not change this: a shared command is charged every
-    /// member's slice length, same as the commands it replaced.
     pub query_items: u64,
-    /// Of [`ShardStats::jobs`], the intersect commands that carried more
-    /// than one member sample — shared sweeps the cross-sample coalescing
-    /// window formed. Zero with the window off (the default).
-    pub coalesced_commands: u64,
-    /// Total member samples across this shard's coalesced commands (each
-    /// such command contributes its member count, ≥ 2). Together with
-    /// [`ShardStats::coalesced_commands`] this gives the mean batch
-    /// occupancy; `coalesced_members - coalesced_commands` is the number of
-    /// database sweeps coalescing saved on this shard.
-    pub coalesced_members: u64,
     /// Number of Step 3 commands served: one per job whose candidate
     /// partition assigned this device a non-empty range (zero when the job
     /// had fewer candidates than this device's rank, or none at all).
@@ -344,9 +332,6 @@ impl BatchReport {
             self.mapped_reads(),
             self.stage_overlap_events,
         ));
-        if let Some(line) = coalescing_line(&self.shard_stats) {
-            out.push_str(&line);
-        }
         if let Some(line) = degraded_line(&self.shard_stats, self.failed.len() as u64) {
             out.push_str(&line);
         }
@@ -443,31 +428,6 @@ pub(crate) fn residency_and_step3_lines(
     out
 }
 
-/// Renders the cross-sample coalescing summary line shared by both report
-/// summaries — only when at least one shared sweep was formed, so runs with
-/// the window off (the default) keep their summaries byte-identical to the
-/// pre-coalescing format.
-///
-/// Mean batch occupancy counts every intersect command (singletons
-/// included): it is the average number of samples one database sweep
-/// served. Sweeps saved is the number of per-sample sweeps coalescing
-/// avoided — the members that rode along on someone else's pass.
-pub(crate) fn coalescing_line(shard_stats: &[ShardStats]) -> Option<String> {
-    let coalesced: u64 = shard_stats.iter().map(|s| s.coalesced_commands).sum();
-    if coalesced == 0 {
-        return None;
-    }
-    let sweeps: u64 = shard_stats.iter().map(|s| s.jobs).sum();
-    let coalesced_members: u64 = shard_stats.iter().map(|s| s.coalesced_members).sum();
-    let member_slices = (sweeps - coalesced) + coalesced_members;
-    let occupancy = member_slices as f64 / sweeps.max(1) as f64;
-    let saved = member_slices - sweeps;
-    Some(format!(
-        "query coalescing: {coalesced} shared sweeps served {coalesced_members} member \
-         slices; mean batch occupancy {occupancy:.2}, {saved} sweeps saved\n"
-    ))
-}
-
 /// Renders the degraded-mode summary line shared by both report summaries —
 /// only when there was fault activity (injected faults, retries, failovers,
 /// dead shards, or failed jobs), so clean-run summaries are byte-identical
@@ -522,32 +482,6 @@ mod tests {
 
         let failed_only = degraded_line(&clean, 1).expect("failed jobs alone render the line");
         assert!(failed_only.contains("dead shards: none"), "{failed_only}");
-    }
-
-    #[test]
-    fn coalescing_line_appears_only_when_sweeps_were_shared() {
-        let mut stats = vec![ShardStats::default(), ShardStats::default()];
-        stats[0].jobs = 4;
-        stats[1].shard = 1;
-        stats[1].jobs = 4;
-        assert_eq!(
-            coalescing_line(&stats),
-            None,
-            "window off: no coalesced commands, no line"
-        );
-
-        // Shard 0: 2 singleton sweeps + 2 coalesced sweeps carrying 3
-        // members each; shard 1: 4 singletons. 8 sweeps served 12 member
-        // slices: occupancy 12/8 = 1.50, 4 sweeps saved.
-        stats[0].coalesced_commands = 2;
-        stats[0].coalesced_members = 6;
-        let line = coalescing_line(&stats).expect("shared sweeps render the line");
-        assert!(
-            line.contains("2 shared sweeps served 6 member slices"),
-            "{line}"
-        );
-        assert!(line.contains("mean batch occupancy 1.50"), "{line}");
-        assert!(line.contains("4 sweeps saved"), "{line}");
     }
 
     #[test]

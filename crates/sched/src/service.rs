@@ -105,24 +105,6 @@
 //! sample's Step 1 is far slower than the rest — while still admitting
 //! enough samples into the stage to actually fill a deep queue.
 //!
-//! **Cross-sample query coalescing.** With
-//! [`crate::EngineConfig::with_coalescing_window`] set, the dispatcher does
-//! not issue a ready sample's commands immediately: it holds the sample up
-//! to the window to admit co-resident samples arriving right behind it in
-//! dispatch order, then issues **one** multi-member intersect command per
-//! shard carrying every admitted sample's query slice for that shard. The
-//! device serves the shared command as a single galloping sweep over its
-//! database range ([`megis_genomics::SortedKmerDatabase::intersect_sorted_multi`])
-//! and the completer demultiplexes the per-member hit lists back to their
-//! owning jobs by `(seq, shard)`. Batch size is bounded by the queue depth
-//! (a larger group could never hold all its slots at once) and upstream by
-//! the dispatch lookahead gate (only samples Step 1 may run ahead to can
-//! co-reside). A shared command occupies one queue-depth slot, is retried
-//! and failed over as one unit keyed by its lead member's sequence, and a
-//! single-member command is byte-identical to the uncoalesced dispatch —
-//! the window-off default *is* the old dispatcher. Per-sample results are
-//! byte-identical either way; only the number of database sweeps changes.
-//!
 //! **Modeled latencies.** [`crate::EngineConfig::submission_latency`] and
 //! [`crate::EngineConfig::completion_latency`] (both zero by default)
 //! simulate the host-side cost of issuing a command and of reaping a
@@ -223,8 +205,8 @@ use crate::job::{JobError, JobId, JobResult, JobSpec, Priority};
 use crate::metrics::{LatencyStats, RollingWindow, ShardStats};
 use crate::queue::{AdmissionError, JobQueue, QueuedJob};
 use crate::shard::{
-    CommandFailure, CommandOutput, IntersectCommand, IntersectMember, ShardCommand, ShardSet,
-    ShardWorker, Step3Command,
+    CommandFailure, CommandOutput, IntersectCommand, ShardCommand, ShardSet, ShardWorker,
+    Step3Command,
 };
 use crate::trace::{
     StageBreakdown, StragglerReport, TraceEventKind, TraceLog, TraceSink, TraceStage, NO_SEQ,
@@ -684,9 +666,6 @@ impl ServiceReport {
             self.mapped_reads,
             self.stage_overlap_events,
         ));
-        if let Some(line) = crate::metrics::coalescing_line(&self.shard_stats) {
-            out.push_str(&line);
-        }
         if let Some(line) = crate::metrics::degraded_line(&self.shard_stats, self.failed_jobs) {
             out.push_str(&line);
         }
@@ -845,8 +824,6 @@ impl StreamingEngine {
                 let mut busy = Duration::ZERO;
                 let mut served = 0u64;
                 let mut query_items = 0u64;
-                let mut coalesced_commands = 0u64;
-                let mut coalesced_members = 0u64;
                 let mut step3_served = 0u64;
                 let mut step3_items = 0u64;
                 let mut stolen_items = 0u64;
@@ -964,11 +941,14 @@ impl StreamingEngine {
                     // Trace events and stats credit the *physical* serving
                     // device (`index`): the straggler analyzer sums real
                     // per-device service intervals, which under stealing
-                    // differ from the shard-of-record's queue. The service
-                    // interval's start stamp is taken here and the
-                    // per-member Started/Completed pairs are emitted after
-                    // serving (see `record_service_interval`).
-                    let trace_started = trace.now();
+                    // differ from the shard-of-record's queue.
+                    trace.record(
+                        seq,
+                        TraceEventKind::CommandStarted {
+                            stage,
+                            shard: index,
+                        },
+                    );
                     let t0 = Instant::now();
                     // Simulated device service (the partition stream / the
                     // candidate-index stream); the sleeps count as busy
@@ -997,18 +977,7 @@ impl StreamingEngine {
                     match &command {
                         ShardCommand::Intersect(c) => {
                             served += 1;
-                            query_items += c.query_items() as u64;
-                            if c.members.len() > 1 {
-                                coalesced_commands += 1;
-                                coalesced_members += c.members.len() as u64;
-                                trace.record(
-                                    command.seq(),
-                                    TraceEventKind::CoalescedSweep {
-                                        shard: index,
-                                        members: c.members.len(),
-                                    },
-                                );
-                            }
+                            query_items += c.range.len() as u64;
                         }
                         ShardCommand::Step3(c) => {
                             step3_served += 1;
@@ -1018,7 +987,13 @@ impl StreamingEngine {
                             }
                         }
                     }
-                    record_service_interval(&trace, &command, index, trace_started);
+                    trace.record(
+                        seq,
+                        TraceEventKind::CommandCompleted {
+                            stage,
+                            shard: index,
+                        },
+                    );
                     let completion = ShardCompletion {
                         shard: record,
                         seq,
@@ -1035,8 +1010,6 @@ impl StreamingEngine {
                     busy,
                     jobs: served,
                     query_items,
-                    coalesced_commands,
-                    coalesced_members,
                     step3_jobs: step3_served,
                     step3_items,
                     stolen_items,
@@ -1087,7 +1060,6 @@ impl StreamingEngine {
             let shard_set = shards.clone();
             let queue_depth = config.queue_depth;
             let submission_latency = config.submission_latency;
-            let coalescing_window = config.coalescing_window;
             let trace = trace.clone();
             thread::spawn(move || {
                 isp_dispatcher(
@@ -1098,7 +1070,6 @@ impl StreamingEngine {
                     meta_tx,
                     queue_depth,
                     submission_latency,
-                    coalescing_window,
                     &trace,
                 );
             })
@@ -1442,83 +1413,9 @@ fn step1_worker(
     }
 }
 
-/// Emits the `CommandStarted`/`CommandCompleted` pair(s) bracketing one
-/// served command's simulated device service.
-///
-/// A single-owner command gets one pair spanning the whole interval —
-/// exactly the uncoalesced shape. A coalesced command's interval is split
-/// into per-member sub-intervals proportional to each member's dispatched
-/// query items (equal shares when every slice is empty), emitted
-/// *interleaved* — member `i`'s completion stamp is member `i + 1`'s start
-/// stamp — so the straggler analyzer's per-device busy time still sums to
-/// the real service interval, and each member's stage breakdown is charged
-/// its share of the shared sweep (the per-member cost attribution the
-/// fairness accounting keys on).
-fn record_service_interval(
-    trace: &TraceSink,
-    command: &ShardCommand,
-    device: usize,
-    started_at: Duration,
-) {
-    if !trace.is_enabled() {
-        return;
-    }
-    let stage = command.stage();
-    let completed_at = trace.now();
-    let members: Vec<(usize, usize)> = match command {
-        ShardCommand::Intersect(c) => c.members.iter().map(|m| (m.seq, m.range.len())).collect(),
-        ShardCommand::Step3(c) => vec![(c.seq, c.range.len())],
-    };
-    let span = completed_at.saturating_sub(started_at);
-    let total: usize = members.iter().map(|(_, weight)| *weight).sum();
-    let denom = if total == 0 {
-        members.len() as f64
-    } else {
-        total as f64
-    };
-    let mut acc = 0.0f64;
-    let mut cursor = started_at;
-    for (i, (seq, weight)) in members.iter().enumerate() {
-        acc += if total == 0 { 1.0 } else { *weight as f64 };
-        let end = if i + 1 == members.len() {
-            completed_at
-        } else {
-            started_at + span.mul_f64(acc / denom)
-        };
-        trace.record_at(
-            cursor,
-            *seq,
-            TraceEventKind::CommandStarted {
-                stage,
-                shard: device,
-            },
-        );
-        trace.record_at(
-            end,
-            *seq,
-            TraceEventKind::CommandCompleted {
-                stage,
-                shard: device,
-            },
-        );
-        cursor = end;
-    }
-}
-
 /// The in-SSD dispatcher: reorders Step 1 completions back into dispatch
 /// order, slices each sample's sorted query list into per-shard sub-ranges,
 /// and issues tagged commands onto the bounded per-shard queues.
-///
-/// With a coalescing window configured
-/// ([`EngineConfig::with_coalescing_window`]) the dispatcher batches
-/// consecutive ready positions into one *group*: an under-filled group
-/// briefly blocks on the Step 1 hand-off (up to the window) to admit
-/// co-resident samples, bounded above by the queue depth (a group larger
-/// than the depth could never have all its members' slots anyway) and
-/// below by the dispatch lookahead gate (only samples Step 1 may run ahead
-/// to can ever join). With the window off — the default — every ready
-/// position flushes immediately as a singleton group, byte-identical to
-/// the uncoalesced dispatcher.
 #[allow(clippy::too_many_arguments)]
 fn isp_dispatcher(
     shared: &Shared,
@@ -1528,7 +1425,6 @@ fn isp_dispatcher(
     meta_tx: Sender<DispatchMsg>,
     queue_depth: usize,
     submission_latency: Duration,
-    coalescing_window: Option<Duration>,
     trace: &TraceSink,
 ) {
     let _guard = PanicGuard(shared);
@@ -1544,76 +1440,24 @@ fn isp_dispatcher(
     // the stamp would record arrival rank, so the ordering regression tests
     // genuinely fail if the buffer is ever bypassed.
     let mut dispatched = 0usize;
-    // Group size cap: 1 with the window off (singleton groups — the
-    // uncoalesced dispatch), the queue depth with it on.
-    let group_cap = match coalescing_window {
-        Some(_) => queue_depth.max(1),
-        None => 1,
-    };
-    let mut open = true;
-    while open {
-        match s1_rx.recv() {
-            Ok(prepared) => {
-                reorder.insert(prepared.start_position, prepared);
-            }
-            Err(_) => break,
-        }
-        loop {
-            let mut group: Vec<PreparedJob> = Vec::new();
-            while group.len() < group_cap {
-                match reorder.remove(&next_to_dispatch) {
-                    Some(prepared) => {
-                        next_to_dispatch += 1;
-                        group.push(prepared);
-                    }
-                    None => break,
-                }
-            }
-            if group.is_empty() {
-                break;
-            }
-            // Batching window: hold an under-filled group briefly so
-            // co-resident samples finishing Step 1 right behind it can
-            // share its sweeps. Bounded by the window deadline, the group
-            // cap, and the hand-off channel closing.
-            if let Some(window) = coalescing_window {
-                let deadline = Instant::now() + window;
-                while open && group.len() < group_cap {
-                    let now = Instant::now();
-                    let Some(remaining) = deadline.checked_duration_since(now) else {
-                        break;
-                    };
-                    match s1_rx.recv_timeout(remaining) {
-                        Ok(prepared) => {
-                            reorder.insert(prepared.start_position, prepared);
-                            while group.len() < group_cap {
-                                match reorder.remove(&next_to_dispatch) {
-                                    Some(prepared) => {
-                                        next_to_dispatch += 1;
-                                        group.push(prepared);
-                                    }
-                                    None => break,
-                                }
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => break,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
-                    }
-                }
-            }
-            if !dispatch_group(
+    for prepared in s1_rx {
+        reorder.insert(prepared.start_position, prepared);
+        while let Some(prepared) = reorder.remove(&next_to_dispatch) {
+            next_to_dispatch += 1;
+            if !dispatch_one(
                 shared,
                 shards,
                 &producer,
                 &meta_tx,
-                group,
-                &mut dispatched,
+                prepared,
+                dispatched,
                 queue_depth,
                 submission_latency,
                 trace,
             ) {
                 return;
             }
+            dispatched += 1;
         }
     }
     // On a clean shutdown every dispatched position was issued and the
@@ -1628,86 +1472,58 @@ fn isp_dispatcher(
     // lifetime stats), and the completer ends after the last completion.
 }
 
-/// Issues one group of consecutive prepared samples' per-shard commands —
-/// a singleton group with the coalescing window off, up to queue-depth
-/// co-resident samples with it on. Every member's job meta is registered
-/// first; then each shard with at least one non-empty slice gets **one**
-/// intersect command carrying every member's slice for that shard, under a
-/// single queue-depth slot. Returns `false` if the service is tearing down
-/// (poisoned or receivers gone).
+/// Issues one prepared sample's per-shard commands; returns `false` if the
+/// service is tearing down (poisoned or receivers gone).
 #[allow(clippy::too_many_arguments)]
-fn dispatch_group(
+fn dispatch_one(
     shared: &Shared,
     shards: &ShardSet,
     producer: &QueueProducer,
     meta_tx: &Sender<DispatchMsg>,
-    group: Vec<PreparedJob>,
-    dispatched: &mut usize,
+    prepared: PreparedJob,
+    isp_position: usize,
     queue_depth: usize,
     submission_latency: Duration,
     trace: &TraceSink,
 ) -> bool {
     let isp_start = Instant::now();
-    // Per-shard member lists, built in group (= dispatch) order so a
-    // coalesced command's members are sorted by sequence number and its
-    // lead member is the oldest.
-    let shard_count = shards.shard_count();
-    let mut shard_members: Vec<Vec<IntersectMember>> = vec![Vec::new(); shard_count];
-    for prepared in group {
-        let seq = prepared.start_position;
-        let queries = Arc::new(prepared.step1.sorted_kmers());
-        // Range-partitioned dispatch: each shard sees only the sub-slice of
-        // the sorted query list overlapping its key range, so per-device
-        // query-side work is proportional to the slice, not the whole list.
-        // A shard whose slice is empty — every padding shard, and any
-        // populated shard this sample's queries miss entirely — is skipped:
-        // an empty slice can only intersect to nothing, and a no-op member
-        // would waste simulated device service time.
-        let slices = shards.slice_queries(&queries);
-        let targets: Vec<(usize, Range<usize>)> = slices
-            .into_iter()
-            .enumerate()
-            .filter(|(_, range)| !range.is_empty())
-            .collect();
-        let meta = IspMeta {
-            seq,
-            isp_position: *dispatched,
-            expected: targets.len(),
-            isp_start,
-            prepared,
-        };
-        *dispatched += 1;
-        // Register the job with the completer before any command that could
-        // complete for it is built.
-        if meta_tx.send(DispatchMsg::Job(meta)).is_err() {
-            return false;
-        }
-        for (shard, range) in targets {
-            shard_members[shard].push(IntersectMember {
-                seq,
-                queries: Arc::clone(&queries),
-                range,
-            });
-        }
+    let seq = prepared.start_position;
+    let queries = Arc::new(prepared.step1.sorted_kmers());
+    // Range-partitioned dispatch: each shard sees only the sub-slice of the
+    // sorted query list overlapping its key range, so per-device query-side
+    // work is proportional to the slice, not the whole list. A shard whose
+    // slice is empty — every padding shard, and any populated shard this
+    // sample's queries miss entirely — is skipped: an empty slice can only
+    // intersect to nothing, and a no-op command would waste a queue-depth
+    // slot plus the simulated device service time.
+    let slices = shards.slice_queries(&queries);
+    let targets: Vec<(usize, Range<usize>)> = slices
+        .into_iter()
+        .enumerate()
+        .filter(|(_, range)| !range.is_empty())
+        .collect();
+    let meta = IspMeta {
+        seq,
+        isp_position,
+        expected: targets.len(),
+        isp_start,
+        prepared,
+    };
+    if meta_tx.send(DispatchMsg::Job(meta)).is_err() {
+        return false;
     }
-    for (shard, members) in shard_members.into_iter().enumerate() {
-        if members.is_empty() {
-            continue;
-        }
+    for (shard, range) in targets {
         // Host-side submission cost (doorbell write, command build). Modeled
         // *outside* the lock: it occupies the dispatcher, not the service.
-        // One submission per physical command — the host-side saving of
-        // coalescing is exactly the members that ride along for free.
         if !submission_latency.is_zero() {
             thread::sleep(submission_latency);
         }
         // NVMe queue-depth gate: at most `queue_depth` commands outstanding
-        // per shard (submitted, completion not yet reaped). A coalesced
-        // command occupies **one** slot however many members share it.
-        // Blocking here is the backpressure that bounds per-device memory;
-        // the completer frees slots as it reaps. (Only the dispatcher ever
-        // blocks here — the completer's Step 3 submissions go through a
-        // non-blocking backlog, so reaping can always proceed.)
+        // per shard (submitted, completion not yet reaped). Blocking here is
+        // the backpressure that bounds per-device memory; the completer
+        // frees slots as it reaps. (Only the dispatcher ever blocks here —
+        // the completer's Step 3 submissions go through a non-blocking
+        // backlog, so reaping can always proceed.)
         {
             let mut state = shared.lock();
             loop {
@@ -1731,16 +1547,16 @@ fn dispatch_group(
                 state.stage_overlap_events += 1;
             }
         }
-        let member_seqs: Vec<usize> = members.iter().map(|m| m.seq).collect();
         let command = ShardCommand::Intersect(IntersectCommand {
+            seq,
+            queries: Arc::clone(&queries),
+            range,
             shard,
             attempt: 0,
-            members,
         });
         // Register the issued command with the completer *before* it can
         // reach a shard queue: the completer absorbs this channel before
-        // reaping, so every completion finds its command outstanding. One
-        // ledger entry per physical command, keyed by the lead member.
+        // reaping, so every completion finds its command outstanding.
         if meta_tx
             .send(DispatchMsg::Issued {
                 shard,
@@ -1750,18 +1566,13 @@ fn dispatch_group(
         {
             return false;
         }
-        // One issue event per member: the straggler analyzer pairs issue
-        // stamps with the per-member service sub-intervals the worker
-        // emits, so a shared command needs one stamp per sharing sample.
-        for seq in member_seqs {
-            trace.record(
-                seq,
-                TraceEventKind::CommandIssued {
-                    stage: TraceStage::Intersect,
-                    shard,
-                },
-            );
-        }
+        trace.record(
+            seq,
+            TraceEventKind::CommandIssued {
+                stage: TraceStage::Intersect,
+                shard,
+            },
+        );
         producer.send(shard, command);
     }
     true
@@ -1897,9 +1708,8 @@ impl IspCompleter<'_> {
                         .collect();
                     for seq in stuck {
                         let job = self.pending[&seq].meta.prepared.id;
-                        self.fail_member(seq, JobError::NoLiveShards { job });
+                        self.fail_job(seq, JobError::NoLiveShards { job });
                     }
-                    self.purge_abandoned_commands();
                     self.deliver_ready();
                     return;
                 }
@@ -1976,15 +1786,13 @@ impl IspCompleter<'_> {
         if entry.command.attempt() != completion.attempt {
             return;
         }
-        if let Err(failure) = completion.result.as_ref() {
-            self.handle_failure(key, *failure);
-            return;
-        }
-        // A coalesced command completes for every member at once: capture
-        // the member list before retiring the ledger entry so the single
-        // output can be demultiplexed per `(seq, shard)` below.
-        let member_seqs = entry.command.member_seqs();
-        let output = completion.result.expect("failure handled above");
+        let output = match completion.result {
+            Ok(output) => output,
+            Err(failure) => {
+                self.handle_failure(key, failure);
+                return;
+            }
+        };
         self.outstanding.remove(&key);
         {
             let mut state = self.shared.lock();
@@ -1994,36 +1802,23 @@ impl IspCompleter<'_> {
                 CommandOutput::Step3(_) => state.step3_inflight -= 1,
             }
         }
-        // Reaping freed a slot in the shard's command queue — one slot
-        // however many members shared the command.
+        // Reaping freed a slot in the shard's command queue.
         self.shared.queue_space.notify_all();
+        let job = self
+            .pending
+            .get_mut(&completion.seq)
+            .expect("completion for a dispatched job");
         match output {
-            CommandOutput::Intersection(hit_lists) => {
-                debug_assert_eq!(hit_lists.len(), member_seqs.len());
-                for (member_seq, hits) in member_seqs.into_iter().zip(hit_lists) {
-                    // A co-member may have failed (and possibly already
-                    // been delivered) while the shared command was in
-                    // flight; its share of the sweep is simply dropped.
-                    let Some(job) = self.pending.get_mut(&member_seq) else {
-                        continue;
-                    };
-                    if job.failed.is_some() {
-                        continue;
-                    }
-                    debug_assert!(job.parts[completion.shard].is_none());
-                    job.parts[completion.shard] = Some(hits);
-                    job.remaining -= 1;
-                }
+            CommandOutput::Intersection(intersection) => {
+                debug_assert!(job.parts[completion.shard].is_none());
+                job.parts[completion.shard] = Some(intersection);
+                job.remaining -= 1;
             }
             CommandOutput::Step3(partial) => {
                 // Incremental reduce: fold the partial the moment it is
                 // reaped — the expensive merge work overlaps the devices
                 // still streaming — keyed by the shard-of-record, which is
                 // the part's position in candidate-range order.
-                let job = self
-                    .pending
-                    .get_mut(&completion.seq)
-                    .expect("completion for a dispatched job");
                 job.reduce
                     .as_mut()
                     .expect("step 3 completion implies the reducer exists")
@@ -2034,54 +1829,30 @@ impl IspCompleter<'_> {
     }
 
     /// One command attempt failed: schedule a retry within the budget, or
-    /// fail the owning job(s) (panics are non-recoverable by design — the
-    /// worker state after a caught panic is not trusted for a replay). A
-    /// coalesced command fails atomically: a terminal failure fails every
-    /// still-live member, and a retry replays the whole command for all of
-    /// them — members are never split across attempts.
+    /// fail the owning job (panics are non-recoverable by design — the
+    /// worker state after a caught panic is not trusted for a replay).
     fn handle_failure(&mut self, key: CommandKey, failure: CommandFailure) {
         let Some(entry) = self.outstanding.get(&key) else {
             return;
         };
         let attempt = entry.command.attempt();
-        // Every member still pending and unfailed. The *lead* member may be
-        // gone (failed and delivered) while co-members are live, so absence
-        // of `key.0` alone must not drop the command.
-        let live: Vec<(usize, JobId)> = entry
-            .command
-            .member_seqs()
-            .into_iter()
-            .filter_map(|seq| {
-                self.pending
-                    .get(&seq)
-                    .filter(|job| job.failed.is_none())
-                    .map(|job| (seq, job.meta.prepared.id))
-            })
-            .collect();
-        if live.is_empty() {
-            self.purge_abandoned_commands();
+        let Some(job) = self.pending.get(&key.0).map(|j| j.meta.prepared.id) else {
             return;
-        }
+        };
         if failure == CommandFailure::Panicked {
-            for (seq, job) in live {
-                self.fail_member(seq, JobError::WorkerPanicked { job, shard: key.1 });
-            }
-            self.purge_abandoned_commands();
+            self.fail_job(key.0, JobError::WorkerPanicked { job, shard: key.1 });
             return;
         }
         if attempt >= self.retry_budget {
-            for (seq, job) in live {
-                self.fail_member(
-                    seq,
-                    JobError::RetriesExhausted {
-                        job,
-                        stage: key.2.label(),
-                        shard: key.1,
-                        attempts: attempt + 1,
-                    },
-                );
-            }
-            self.purge_abandoned_commands();
+            self.fail_job(
+                key.0,
+                JobError::RetriesExhausted {
+                    job,
+                    stage: key.2.label(),
+                    shard: key.1,
+                    attempts: attempt + 1,
+                },
+            );
             return;
         }
         let delay = backoff_delay(self.retry_backoff, attempt);
@@ -2097,32 +1868,15 @@ impl IspCompleter<'_> {
     /// shard otherwise (every worker holds the whole `ShardSet`, so any
     /// survivor serves the command identically).
     fn reissue(&mut self, key: CommandKey) {
-        let (seq, shard, stage) = key;
-        let Some(entry) = self.outstanding.get(&key) else {
-            return;
-        };
-        // A re-issue replays the command for every still-live member at
-        // once; with none left, the command is abandoned instead.
-        let live: Vec<usize> = entry
-            .command
-            .member_seqs()
-            .into_iter()
-            .filter(|seq| {
-                self.pending
-                    .get(seq)
-                    .is_some_and(|job| job.failed.is_none())
-            })
-            .collect();
-        if live.is_empty() {
-            self.purge_abandoned_commands();
+        if !self.pending.contains_key(&key.0) {
             return;
         }
+        let (seq, shard, stage) = key;
         let Some(target) = self.pick_target(shard) else {
-            for member_seq in live {
-                let job = self.pending[&member_seq].meta.prepared.id;
-                self.fail_member(member_seq, JobError::NoLiveShards { job });
-            }
-            self.purge_abandoned_commands();
+            let Some(job) = self.pending.get(&seq).map(|j| j.meta.prepared.id) else {
+                return;
+            };
+            self.fail_job(seq, JobError::NoLiveShards { job });
             return;
         };
         let Some(entry) = self.outstanding.get_mut(&key) else {
@@ -2139,10 +1893,6 @@ impl IspCompleter<'_> {
                 state.shard_failovers[shard] += 1;
             }
         }
-        // Retry/failover accounting and events stay once per *physical*
-        // command — keyed on the lead member, matching the retry ledger —
-        // while the per-member issue stamps keep the straggler pairing
-        // whole for every sharing sample.
         self.trace.record(
             seq,
             TraceEventKind::Retry {
@@ -2161,15 +1911,13 @@ impl IspCompleter<'_> {
                 },
             );
         }
-        for member_seq in command.member_seqs() {
-            self.trace.record(
-                member_seq,
-                TraceEventKind::CommandIssued {
-                    stage,
-                    shard: target,
-                },
-            );
-        }
+        self.trace.record(
+            seq,
+            TraceEventKind::CommandIssued {
+                stage,
+                shard: target,
+            },
+        );
         if let Some(producer) = &self.producer {
             producer.send(target, command);
         }
@@ -2229,40 +1977,16 @@ impl IspCompleter<'_> {
         }
     }
 
-    /// Marks one job failed in place, recording the error for
-    /// `deliver_ready` to surface in dispatch order. The commands the job
-    /// shares with still-live members stay in flight (their results are
-    /// dropped at the demux); call [`Self::purge_abandoned_commands`] after
-    /// the last member of a failure to retire commands nobody wants.
-    fn fail_member(&mut self, seq: usize, error: JobError) {
-        if let Some(job) = self.pending.get_mut(&seq) {
-            if job.failed.is_none() {
-                job.failed = Some(error);
-            }
-        }
-    }
-
-    /// True when no member of `command` is still a live (pending, unfailed)
-    /// job — its result could only be dropped.
-    fn is_abandoned(pending: &BTreeMap<usize, MergeState>, command: &ShardCommand) -> bool {
-        command
-            .member_seqs()
-            .into_iter()
-            .all(|seq| pending.get(&seq).is_none_or(|job| job.failed.is_some()))
-    }
-
-    /// Retires every ledgered, backlogged, or backoff-delayed command whose
-    /// members have all failed: outstanding entries free their queue-depth
-    /// slots exactly once, the unsubmitted backlog is pruned, and orphaned
-    /// retry timers are dropped. For a single-member command this is
-    /// exactly the old whole-job purge; a coalesced command outlives any
-    /// one member's failure until its last live member is gone.
-    fn purge_abandoned_commands(&mut self) {
+    /// Fails one job in place: drops its commands from the retry ledger
+    /// (freeing their queue-depth slots exactly once), purges its
+    /// unsubmitted backlog, and records the error for `deliver_ready` to
+    /// surface in dispatch order. The engine itself keeps serving.
+    fn fail_job(&mut self, seq: usize, error: JobError) {
         let keys: Vec<CommandKey> = self
             .outstanding
-            .iter()
-            .filter(|(_, entry)| Self::is_abandoned(&self.pending, &entry.command))
-            .map(|(key, _)| *key)
+            .keys()
+            .filter(|key| key.0 == seq)
+            .copied()
             .collect();
         if !keys.is_empty() {
             let mut state = self.shared.lock();
@@ -2277,12 +2001,13 @@ impl IspCompleter<'_> {
             drop(state);
             self.shared.queue_space.notify_all();
         }
-        let pending = &self.pending;
-        self.backlog
-            .retain(|(_, command)| !Self::is_abandoned(pending, command));
-        let outstanding = &self.outstanding;
-        self.retry_due
-            .retain(|(_, key)| outstanding.contains_key(key));
+        self.backlog.retain(|(_, command)| command.seq() != seq);
+        self.retry_due.retain(|(_, key)| key.0 != seq);
+        if let Some(job) = self.pending.get_mut(&seq) {
+            if job.failed.is_none() {
+                job.failed = Some(error);
+            }
+        }
     }
 
     /// Runs Step 2 and hands Step 3 to the backlog for every job whose

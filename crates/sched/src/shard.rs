@@ -60,19 +60,6 @@
 //! `attempt` counter so retried completions are distinguishable from stale
 //! ones, and a served command can fail with a `CommandFailure` instead of
 //! an output when a fault plan is active.
-//!
-//! **Cross-sample query coalescing.** An `IntersectCommand` carries a
-//! *member list*: one `(seq, query sub-range)` entry per co-resident sample
-//! sharing the sweep. When the dispatcher's batching window is open (see
-//! `service.rs`), several in-flight samples' slices for the same shard are
-//! merged into one command served by a single galloping pass over that
-//! shard's CSR range (`intersect_sorted_multi`), and the output carries one
-//! hit list per member for the completer to demultiplex back to each
-//! sample's merge state. A single-member command is byte-identical to the
-//! uncoalesced path — same kernel, same output shape — so the window-off
-//! default changes nothing, and the fault path's retry/failover machinery
-//! treats a coalesced command as one unit keyed by its lead member's
-//! sequence number.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -86,24 +73,12 @@ use megis_genomics::sample::Sample;
 
 use crate::trace::TraceStage;
 
-/// One co-resident sample's share of a (possibly coalesced) Step 2 command:
-/// the sample's dispatch sequence number plus its query sub-range for the
-/// command's shard.
-#[derive(Debug, Clone)]
-pub(crate) struct IntersectMember {
-    /// Dense in-SSD dispatch sequence number of the owning sample.
-    pub seq: usize,
-    /// The sample's full sorted query list (shared, not copied, across
-    /// shards).
-    pub queries: Arc<Vec<Kmer>>,
-    /// The sub-range of `queries` overlapping this shard's key range.
-    pub range: Range<usize>,
-}
-
-/// A Step 2 command: intersect one or more samples' query sub-ranges
-/// against the device's database slice in a single sweep.
+/// A Step 2 command: intersect the job's query sub-range against the
+/// device's database slice.
 #[derive(Debug, Clone)]
 pub(crate) struct IntersectCommand {
+    /// Dense in-SSD dispatch sequence number the command belongs to.
+    pub seq: usize,
     /// The shard-of-record whose database range this command intersects.
     /// Failover never changes it: a survivor serving the command still
     /// intersects the dead shard's (still-resident) range.
@@ -111,26 +86,10 @@ pub(crate) struct IntersectCommand {
     /// 0-based service attempt; bumped on every retry/failover re-issue so
     /// stale completions of superseded attempts are recognizable.
     pub attempt: u32,
-    /// The samples sharing this sweep, in dispatch-sequence order. Always
-    /// non-empty; a single entry is the uncoalesced (window-off) shape. The
-    /// first entry is the *lead* member whose sequence number keys the
-    /// command in the completer's ledger and the fault plan.
-    pub members: Vec<IntersectMember>,
-}
-
-impl IntersectCommand {
-    /// The dispatch sequence numbers of every member sample, in member
-    /// order.
-    pub(crate) fn member_seqs(&self) -> Vec<usize> {
-        self.members.iter().map(|m| m.seq).collect()
-    }
-
-    /// Total query items dispatched with this command (sum of the member
-    /// sub-range lengths) — the `ShardStats::query_items` contribution,
-    /// unchanged by coalescing.
-    pub(crate) fn query_items(&self) -> usize {
-        self.members.iter().map(|m| m.range.len()).sum()
-    }
+    /// The job's full sorted query list (shared, not copied, across shards).
+    pub queries: Arc<Vec<Kmer>>,
+    /// The sub-range of `queries` overlapping this shard's key range.
+    pub range: Range<usize>,
 }
 
 /// A Step 3 command: merge this device's contiguous candidate range into a
@@ -174,22 +133,11 @@ pub(crate) enum ShardCommand {
 }
 
 impl ShardCommand {
-    /// The dispatch sequence number the command is tagged with: the lead
-    /// (first) member's for a coalesced intersection.
+    /// The dispatch sequence number the command is tagged with.
     pub(crate) fn seq(&self) -> usize {
         match self {
-            ShardCommand::Intersect(c) => c.members[0].seq,
+            ShardCommand::Intersect(c) => c.seq,
             ShardCommand::Step3(c) => c.seq,
-        }
-    }
-
-    /// Every sample sequence number the command serves: all members of a
-    /// (possibly coalesced) intersection, the single owner of a Step 3
-    /// command.
-    pub(crate) fn member_seqs(&self) -> Vec<usize> {
-        match self {
-            ShardCommand::Intersect(c) => c.member_seqs(),
-            ShardCommand::Step3(c) => vec![c.seq],
         }
     }
 
@@ -230,10 +178,8 @@ impl ShardCommand {
 /// Result payload of one served command.
 #[derive(Debug)]
 pub(crate) enum CommandOutput {
-    /// The intersecting k-mers of an [`IntersectCommand`]: one hit list per
-    /// member, in member order, for the completer to demultiplex. A
-    /// single-member (uncoalesced) command carries exactly one list.
-    Intersection(Vec<Vec<Kmer>>),
+    /// The intersecting k-mers of an [`IntersectCommand`].
+    Intersection(Vec<Kmer>),
     /// The partial index plus per-read hits of a [`Step3Command`].
     Step3(Step3Partial),
 }
@@ -274,26 +220,14 @@ impl ShardWorker {
         match command {
             ShardCommand::Intersect(c) => {
                 let shard = &self.shards.shards()[c.shard];
-                // Device-side bound check, per member: the dispatcher's
-                // partition charges gap queries (values between shard key
-                // ranges) to the preceding shard, but nothing below this
-                // shard's first key or above its last can match, so the
-                // merge runs only over each overlapping sub-range.
-                let overlaps: Vec<&[Kmer]> = c
-                    .members
-                    .iter()
-                    .map(|m| {
-                        let slice = &m.queries[m.range.clone()];
-                        &slice[shard.overlapping_query_range(slice)]
-                    })
-                    .collect();
-                // One member takes the plain galloping merge; several share
-                // a single coalesced sweep over the same database range.
-                let hits = match overlaps.as_slice() {
-                    [only] => vec![shard.intersect_sorted(only)],
-                    many => shard.intersect_sorted_multi(many),
-                };
-                CommandOutput::Intersection(hits)
+                let slice = &c.queries[c.range.clone()];
+                // Device-side bound check: the dispatcher's partition
+                // charges gap queries (values between shard key ranges) to
+                // the preceding shard, but nothing below this shard's first
+                // key or above its last can match, so the merge runs only
+                // over the overlapping sub-range.
+                let overlap = &slice[shard.overlapping_query_range(slice)];
+                CommandOutput::Intersection(shard.intersect_sorted(overlap))
             }
             ShardCommand::Step3(c) => {
                 let indexes = self.analyzer.reference_indexes();

@@ -52,6 +52,21 @@ fn run_expecting_success(
     (outputs, engine.shutdown())
 }
 
+/// Drains `engine` and asserts every queue-depth slot came back: no
+/// command is outstanding on any shard and no job is in flight. A failed
+/// job's purge must free each of its slots exactly once — a leak leaves a
+/// nonzero count here, a double free underflows.
+fn assert_slots_released(engine: &StreamingEngine) {
+    engine.drain();
+    let snapshot = engine.snapshot();
+    assert!(
+        snapshot.shard_inflight.iter().all(|&n| n == 0),
+        "queue-depth slots leaked: {:?}",
+        snapshot.shard_inflight
+    );
+    assert_eq!(snapshot.in_flight, 0);
+}
+
 /// Every command faults exactly once (rate 1.0, burst 1) across a grid of
 /// worker/shard shapes; the engine retries each in place and the results
 /// stay byte-identical to the sequential oracle, with exact
@@ -210,6 +225,7 @@ fn worker_panic_is_isolated_to_one_job() {
             Err(other) => panic!("sample {i}: unexpected failure {other}"),
         }
     }
+    assert_slots_released(&engine);
 
     // The engine is not poisoned: a fresh submission still completes.
     let late = engine
@@ -259,6 +275,7 @@ fn retry_budget_exhaustion_fails_the_job_not_the_engine() {
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),
     }
+    assert_slots_released(&engine);
 
     // Rate 1.0 dooms every command equally, so prove the engine itself
     // survived by letting the second job exhaust too, then draining.
@@ -266,6 +283,7 @@ fn retry_budget_exhaustion_fails_the_job_not_the_engine() {
         .submit(JobSpec::new("also-doomed", samples[1].clone()))
         .expect("admission after failure");
     assert!(second.wait().is_err());
+    assert_slots_released(&engine);
     let report = engine.shutdown();
     assert_eq!(report.failed_jobs, 2);
     assert_eq!(report.completed, 0);

@@ -151,8 +151,6 @@ fn observability_fixture() -> (Vec<ShardStats>, LatencyStats, StageBreakdown) {
             busy: Duration::from_millis(40 + shard as u64 * 10),
             jobs: 5,
             query_items: 1000,
-            coalesced_commands: 0,
-            coalesced_members: 0,
             step3_jobs: 4,
             step3_items: 8 - shard as u64,
             stolen_items: shard as u64 * 2,

@@ -62,7 +62,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::kmer::{Kmer, KmerExtractor};
+use crate::kmer::{CanonicalKmerExtractor, Kmer};
 use crate::reference::{ReferenceCollection, ReferenceGenome};
 use crate::taxonomy::TaxId;
 
@@ -241,9 +241,9 @@ impl SortedKmerDatabase {
         let mut pairs: Vec<(Kmer, TaxId)> = Vec::new();
         for genome in references.genomes() {
             let taxid = genome.taxid();
-            for kmer in KmerExtractor::new(genome.sequence(), k) {
-                pairs.push((kmer.canonical(), taxid));
-            }
+            pairs.extend(
+                CanonicalKmerExtractor::new(genome.sequence(), k).map(|kmer| (kmer, taxid)),
+            );
         }
         // Sorting by (kmer, taxid) and deduplicating yields, per k-mer, its
         // sorted deduplicated taxa — the same grouping the old per-entry
@@ -656,8 +656,8 @@ impl ReferenceIndex {
     pub fn build(genome: &ReferenceGenome, k: usize) -> ReferenceIndex {
         REFERENCE_INDEX_BUILDS.with(|c| c.set(c.get() + 1));
         let mut map: BTreeMap<Kmer, Vec<u32>> = BTreeMap::new();
-        for (pos, kmer) in KmerExtractor::new(genome.sequence(), k).enumerate() {
-            map.entry(kmer.canonical()).or_default().push(pos as u32);
+        for (pos, kmer) in CanonicalKmerExtractor::new(genome.sequence(), k).enumerate() {
+            map.entry(kmer).or_default().push(pos as u32);
         }
         ReferenceIndex {
             taxid: genome.taxid(),
@@ -909,8 +909,8 @@ impl UnifiedReferenceIndex {
     /// exactly.
     pub fn map_read_hit(&self, read: &crate::read::Read, seed_k: usize) -> Option<ReadMapHit> {
         let mut votes: BTreeMap<TaxId, u32> = BTreeMap::new();
-        for kmer in read.kmers(seed_k) {
-            if let Some(locations) = self.locations(kmer.canonical()) {
+        for kmer in read.canonical_kmers(seed_k) {
+            if let Some(locations) = self.locations(kmer) {
                 for loc in locations {
                     *votes.entry(loc.taxid).or_insert(0) += 1;
                 }
@@ -1153,10 +1153,9 @@ mod tests {
         let r = refs();
         let db = SortedKmerDatabase::build(&r, 21);
         let genome = &r.genomes()[0];
-        let kmer = KmerExtractor::new(genome.sequence(), 21)
+        let kmer = CanonicalKmerExtractor::new(genome.sequence(), 21)
             .next()
-            .unwrap()
-            .canonical();
+            .unwrap();
         let entry = db.lookup(kmer).expect("genome k-mer must be indexed");
         assert!(entry.taxa.contains(&genome.taxid()));
     }
@@ -1174,9 +1173,7 @@ mod tests {
         let r = refs();
         let db = SortedKmerDatabase::build(&r, 21);
         let genome = &r.genomes()[2];
-        let mut queries: Vec<Kmer> = KmerExtractor::new(genome.sequence(), 21)
-            .map(|k| k.canonical())
-            .collect();
+        let mut queries: Vec<Kmer> = CanonicalKmerExtractor::new(genome.sequence(), 21).collect();
         queries.sort();
         queries.dedup();
         let inter = db.intersect_sorted(&queries);
@@ -1195,9 +1192,8 @@ mod tests {
         let r = refs();
         let db = SortedKmerDatabase::build(&r, 21);
         let foreign = ReferenceCollection::synthetic(2, 600, 999);
-        let mut queries: Vec<Kmer> = KmerExtractor::new(foreign.genomes()[0].sequence(), 21)
-            .map(|k| k.canonical())
-            .collect();
+        let mut queries: Vec<Kmer> =
+            CanonicalKmerExtractor::new(foreign.genomes()[0].sequence(), 21).collect();
         queries.sort();
         queries.dedup();
         let inter = db.intersect_sorted(&queries);
@@ -1225,9 +1221,8 @@ mod tests {
 
         // Disjoint: foreign queries, mostly misses.
         let foreign = ReferenceCollection::synthetic(2, 400, 4321);
-        let mut misses: Vec<Kmer> = KmerExtractor::new(foreign.genomes()[0].sequence(), 21)
-            .map(|k| k.canonical())
-            .collect();
+        let mut misses: Vec<Kmer> =
+            CanonicalKmerExtractor::new(foreign.genomes()[0].sequence(), 21).collect();
         misses.sort();
         misses.dedup();
         assert_eq!(
@@ -1259,8 +1254,10 @@ mod tests {
         // the database's bounds on both sides.
         let mut queries: Vec<Kmer> = db.kmers().step_by(5).collect();
         let foreign = ReferenceCollection::synthetic(2, 400, 777);
-        queries
-            .extend(KmerExtractor::new(foreign.genomes()[0].sequence(), 21).map(|k| k.canonical()));
+        queries.extend(CanonicalKmerExtractor::new(
+            foreign.genomes()[0].sequence(),
+            21,
+        ));
         queries.sort();
         queries.dedup();
 
@@ -1374,10 +1371,9 @@ mod tests {
         let r = refs();
         let genome = &r.genomes()[0];
         let idx = ReferenceIndex::build(genome, 15);
-        let kmer = KmerExtractor::new(genome.sequence(), 15)
+        let kmer = CanonicalKmerExtractor::new(genome.sequence(), 15)
             .nth(10)
-            .unwrap()
-            .canonical();
+            .unwrap();
         let locs = idx.locations(kmer).expect("indexed seed");
         assert!(!locs.is_empty());
         assert_eq!(idx.taxid(), genome.taxid());

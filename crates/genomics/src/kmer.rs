@@ -9,7 +9,19 @@
 //! A [`Kmer`] packs up to 64 bases into a `u128` (2 bits per base, first base in
 //! the most significant position) so that integer comparison equals
 //! lexicographic comparison — the property MegIS's sorted-stream intersection
-//! and K-mer Sketch Streaming rely on.
+//! and K-mer Sketch Streaming rely on. Two k-mers of the same length compare
+//! as their payloads; only mixed-length comparisons (the KSS prefix order)
+//! pay for prefix shifts.
+//!
+//! Both extractors share one rolling core that costs O(1) per base, however
+//! large `k` is. It keeps two registers: the forward k-mer and its reverse
+//! complement. Each new base code `c` shifts into the forward register from
+//! the right (`fwd = ((fwd << 2) | c) & mask`) and its complement `3 - c`
+//! into the reverse register from the left
+//! (`rev = (rev >> 2) | ((3 - c) << 2(k - 1))`). The first k-mer of a
+//! sequence is rolled in from zero the same way. [`CanonicalKmerExtractor`]
+//! yields `min(fwd, rev)`, so no k-mer is ever reverse-complemented base by
+//! base on the hot path.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -154,21 +166,6 @@ impl Kmer {
         }
     }
 
-    /// Appends `base` on the right and drops the leftmost base (rolling
-    /// update used by the extractor).
-    #[inline]
-    pub fn roll(&self, base: Base) -> Kmer {
-        let mask = if self.k() == 64 {
-            u128::MAX
-        } else {
-            (1u128 << (2 * self.k())) - 1
-        };
-        Kmer {
-            bits: ((self.bits << 2) | base.code() as u128) & mask,
-            k: self.k,
-        }
-    }
-
     /// Converts the k-mer to a packed sequence.
     pub fn to_sequence(&self) -> PackedSequence {
         (0..self.k()).map(|i| self.base(i)).collect()
@@ -192,6 +189,9 @@ impl Ord for Kmer {
     /// any extension of it (matching the order of the sorted databases MegIS
     /// streams through).
     fn cmp(&self, other: &Kmer) -> Ordering {
+        if self.k == other.k {
+            return self.bits.cmp(&other.bits);
+        }
         let common = self.k().min(other.k());
         let a = self.prefix(common).bits;
         let b = other.prefix(common).bits;
@@ -205,6 +205,77 @@ impl fmt::Display for Kmer {
             write!(f, "{}", self.base(i))?;
         }
         Ok(())
+    }
+}
+
+/// The rolling core shared by [`KmerExtractor`] and
+/// [`CanonicalKmerExtractor`]: the forward and reverse-complement registers of
+/// the current window, each updated in O(1) per base.
+#[derive(Debug, Clone)]
+struct RollingWindow<'a> {
+    seq: &'a PackedSequence,
+    k: usize,
+    /// Index of the next base to shift in.
+    next: usize,
+    fwd: u128,
+    rev: u128,
+}
+
+impl<'a> RollingWindow<'a> {
+    fn new(seq: &'a PackedSequence, k: usize) -> Self {
+        assert!(k > 0 && k <= MAX_K, "k must be in 1..={MAX_K}");
+        RollingWindow {
+            seq,
+            k,
+            next: 0,
+            fwd: 0,
+            rev: 0,
+        }
+    }
+
+    /// Moves to the next window. The first call shifts in `k` bases from
+    /// zero, every later call one. Returns `false` once the sequence is
+    /// exhausted.
+    #[inline]
+    fn advance(&mut self) -> bool {
+        let end = self.next.max(self.k - 1) + 1;
+        if end > self.seq.len() {
+            return false;
+        }
+        let mask = (1u128 << (2 * self.k)) - 1;
+        let rev_shift = 2 * (self.k - 1);
+        while self.next < end {
+            let c = self.seq.get(self.next).code() as u128;
+            self.fwd = ((self.fwd << 2) | c) & mask;
+            self.rev = (self.rev >> 2) | ((3 - c) << rev_shift);
+            self.next += 1;
+        }
+        true
+    }
+
+    /// The current forward k-mer.
+    #[inline]
+    fn forward(&self) -> Kmer {
+        Kmer {
+            bits: self.fwd,
+            k: self.k as u8,
+        }
+    }
+
+    /// The current canonical k-mer: the smaller of the two registers.
+    #[inline]
+    fn canonical(&self) -> Kmer {
+        Kmer {
+            bits: self.fwd.min(self.rev),
+            k: self.k as u8,
+        }
+    }
+
+    /// Windows not yet visited.
+    fn remaining(&self) -> usize {
+        let total = (self.seq.len() + 1).saturating_sub(self.k);
+        let visited = (self.next + 1).saturating_sub(self.k);
+        total - visited
     }
 }
 
@@ -224,10 +295,7 @@ impl fmt::Display for Kmer {
 /// ```
 #[derive(Debug, Clone)]
 pub struct KmerExtractor<'a> {
-    seq: &'a PackedSequence,
-    k: usize,
-    pos: usize,
-    current: Option<Kmer>,
+    window: RollingWindow<'a>,
 }
 
 impl<'a> KmerExtractor<'a> {
@@ -237,12 +305,8 @@ impl<'a> KmerExtractor<'a> {
     ///
     /// Panics if `k == 0` or `k > MAX_K`.
     pub fn new(seq: &'a PackedSequence, k: usize) -> Self {
-        assert!(k > 0 && k <= MAX_K, "k must be in 1..={MAX_K}");
         KmerExtractor {
-            seq,
-            k,
-            pos: 0,
-            current: None,
+            window: RollingWindow::new(seq, k),
         }
     }
 }
@@ -250,29 +314,13 @@ impl<'a> KmerExtractor<'a> {
 impl Iterator for KmerExtractor<'_> {
     type Item = Kmer;
 
+    #[inline]
     fn next(&mut self) -> Option<Kmer> {
-        if self.seq.len() < self.k || self.pos + self.k > self.seq.len() {
-            return None;
-        }
-        let kmer = match self.current {
-            None => {
-                let bases: Vec<Base> = (0..self.k).map(|i| self.seq.get(i)).collect();
-                Kmer::from_bases(&bases)
-            }
-            Some(prev) => prev.roll(self.seq.get(self.pos + self.k - 1)),
-        };
-        self.current = Some(kmer);
-        self.pos += 1;
-        Some(kmer)
+        self.window.advance().then(|| self.window.forward())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let total = if self.seq.len() >= self.k {
-            self.seq.len() - self.k + 1
-        } else {
-            0
-        };
-        let remaining = total.saturating_sub(self.pos);
+        let remaining = self.window.remaining();
         (remaining, Some(remaining))
     }
 }
@@ -281,9 +329,12 @@ impl ExactSizeIterator for KmerExtractor<'_> {}
 
 /// Iterator over the canonical k-mers of a sequence (minimum of each k-mer and
 /// its reverse complement), created with [`CanonicalKmerExtractor::new`].
+///
+/// It yields exactly `KmerExtractor::new(seq, k).map(|k| k.canonical())`, in
+/// O(1) per k-mer instead of O(k).
 #[derive(Debug, Clone)]
 pub struct CanonicalKmerExtractor<'a> {
-    inner: KmerExtractor<'a>,
+    window: RollingWindow<'a>,
 }
 
 impl<'a> CanonicalKmerExtractor<'a> {
@@ -294,7 +345,7 @@ impl<'a> CanonicalKmerExtractor<'a> {
     /// Panics if `k == 0` or `k > MAX_K`.
     pub fn new(seq: &'a PackedSequence, k: usize) -> Self {
         CanonicalKmerExtractor {
-            inner: KmerExtractor::new(seq, k),
+            window: RollingWindow::new(seq, k),
         }
     }
 }
@@ -302,12 +353,14 @@ impl<'a> CanonicalKmerExtractor<'a> {
 impl Iterator for CanonicalKmerExtractor<'_> {
     type Item = Kmer;
 
+    #[inline]
     fn next(&mut self) -> Option<Kmer> {
-        self.inner.next().map(|k| k.canonical())
+        self.window.advance().then(|| self.window.canonical())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        let remaining = self.window.remaining();
+        (remaining, Some(remaining))
     }
 }
 
@@ -325,6 +378,91 @@ pub fn kmers_per_read(read_len: usize, k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn random_sequence(rng: &mut StdRng, len: usize) -> PackedSequence {
+        (0..len)
+            .map(|_| Base::from_code(rng.gen_range(0..4u8)))
+            .collect()
+    }
+
+    fn random_kmer(rng: &mut StdRng, k: usize) -> Kmer {
+        Kmer::from_bases(
+            &(0..k)
+                .map(|_| Base::from_code(rng.gen_range(0..4u8)))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// The prefix-order definition `Kmer::cmp` had before its equal-k fast
+    /// path: compare the common-length prefixes, then the lengths.
+    fn prefix_order(a: &Kmer, b: &Kmer) -> Ordering {
+        let common = a.k().min(b.k());
+        a.prefix(common)
+            .bits()
+            .cmp(&b.prefix(common).bits())
+            .then_with(|| a.k().cmp(&b.k()))
+    }
+
+    #[test]
+    fn rolling_extractors_match_per_kmer_reference_for_every_k() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0014);
+        for k in 1..=MAX_K {
+            let mut lengths = vec![0, k.saturating_sub(1), k, k + 1, k + 2];
+            lengths.extend((0..3).map(|_| rng.gen_range(0..3 * MAX_K)));
+            for len in lengths {
+                let seq = random_sequence(&mut rng, len);
+                let expected_fwd: Vec<Kmer> = (0..(len + 1).saturating_sub(k))
+                    .map(|i| Kmer::from_bases(&(i..i + k).map(|j| seq.get(j)).collect::<Vec<_>>()))
+                    .collect();
+                let fwd: Vec<Kmer> = KmerExtractor::new(&seq, k).collect();
+                assert_eq!(fwd, expected_fwd, "forward k-mers, k = {k}, len = {len}");
+                let canonical: Vec<Kmer> = CanonicalKmerExtractor::new(&seq, k).collect();
+                let reference: Vec<Kmer> =
+                    KmerExtractor::new(&seq, k).map(|m| m.canonical()).collect();
+                assert_eq!(
+                    canonical, reference,
+                    "canonical k-mers, k = {k}, len = {len}"
+                );
+
+                let mut fwd_iter = KmerExtractor::new(&seq, k);
+                let mut canon_iter = CanonicalKmerExtractor::new(&seq, k);
+                for remaining in (0..=expected_fwd.len()).rev() {
+                    assert_eq!(fwd_iter.size_hint(), (remaining, Some(remaining)));
+                    assert_eq!(canon_iter.size_hint(), (remaining, Some(remaining)));
+                    assert_eq!(fwd_iter.next().is_some(), remaining > 0);
+                    assert_eq!(canon_iter.next().is_some(), remaining > 0);
+                }
+                assert_eq!(fwd_iter.size_hint(), (0, Some(0)));
+                assert_eq!(canon_iter.size_hint(), (0, Some(0)));
+            }
+        }
+    }
+
+    #[test]
+    fn cmp_agrees_with_prefix_order() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0015);
+        for _ in 0..2_000 {
+            let ka = rng.gen_range(1..=MAX_K);
+            let a = random_kmer(&mut rng, ka);
+            // Equal length, an unrelated k-mer of another length, a proper
+            // prefix, and an extension of `a`.
+            let same = random_kmer(&mut rng, ka);
+            let kb = rng.gen_range(1..=MAX_K);
+            let other = random_kmer(&mut rng, kb);
+            let prefix = a.prefix(rng.gen_range(1..=ka));
+            let extension = (ka < MAX_K).then(|| {
+                let tail_k = rng.gen_range(1..=MAX_K - ka);
+                let tail = random_kmer(&mut rng, tail_k);
+                Kmer::from_bits((a.bits() << (2 * tail.k())) | tail.bits(), ka + tail.k())
+            });
+            for b in [a, same, other, prefix].into_iter().chain(extension) {
+                assert_eq!(a.cmp(&b), prefix_order(&a, &b), "{a} vs {b}");
+                assert_eq!(b.cmp(&a), prefix_order(&b, &a), "{b} vs {a}");
+            }
+        }
+    }
 
     #[test]
     fn kmer_from_ascii_roundtrip() {
@@ -365,15 +503,6 @@ mod tests {
         let k60 = Kmer::from_ascii(&seq).unwrap();
         let p = k60.prefix(4);
         assert_eq!(p.to_string(), "ACGT");
-    }
-
-    #[test]
-    fn roll_matches_extraction() {
-        let seq = PackedSequence::from_ascii(b"ACGTACGTT").unwrap();
-        let mut ex = KmerExtractor::new(&seq, 5);
-        let first = ex.next().unwrap();
-        let second = ex.next().unwrap();
-        assert_eq!(first.roll(seq.get(5)), second);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::fmt;
 
 use crate::dna::PackedSequence;
-use crate::kmer::{Kmer, KmerExtractor};
+use crate::kmer::{CanonicalKmerExtractor, Kmer, KmerExtractor};
 use crate::taxonomy::TaxId;
 
 /// A single sequencing read.
@@ -66,6 +66,12 @@ impl Read {
     /// Extracts all k-mers of length `k` from this read.
     pub fn kmers(&self, k: usize) -> KmerExtractor<'_> {
         KmerExtractor::new(&self.sequence, k)
+    }
+
+    /// Extracts the canonical k-mers of length `k` from this read, in O(1)
+    /// per k-mer (see [`CanonicalKmerExtractor`]).
+    pub fn canonical_kmers(&self, k: usize) -> CanonicalKmerExtractor<'_> {
+        CanonicalKmerExtractor::new(&self.sequence, k)
     }
 }
 

@@ -36,6 +36,26 @@ impl ExclusionPolicy {
     }
 }
 
+/// A raw k-mer payload wide enough for one counting pass.
+trait Payload: Copy + Ord + Into<u128> {
+    /// Narrows a payload known to fit.
+    fn truncate(bits: u128) -> Self;
+}
+
+impl Payload for u64 {
+    #[inline]
+    fn truncate(bits: u128) -> u64 {
+        bits as u64
+    }
+}
+
+impl Payload for u128 {
+    #[inline]
+    fn truncate(bits: u128) -> u128 {
+        bits
+    }
+}
+
 /// The outcome of counting: sorted distinct k-mers with their multiplicities.
 #[derive(Debug, Clone, Default)]
 pub struct KmerCounts {
@@ -48,23 +68,36 @@ impl KmerCounts {
     /// Counting is flat, like KMC itself: collect every occurrence into one
     /// dense array, `sort_unstable` it, and run-length group equal runs into
     /// `(kmer, count)` pairs — no per-k-mer map nodes on the hot path. The
-    /// result is identical to inserting each occurrence into an ordered map
-    /// (sorted distinct k-mers with their multiplicities).
+    /// occurrences come from the rolling [`Read::canonical_kmers`] extractor
+    /// (O(1) per k-mer) and are stored as raw payloads, not [`Kmer`]s: a
+    /// `u64` per occurrence when `k <= 32`, a `u128` otherwise. All
+    /// occurrences share one `k`, so payload order is k-mer order, and
+    /// sorting 8-byte integers instead of 32-byte `Kmer`s cuts both the sort
+    /// time and Step 1's peak memory. The result is identical to inserting
+    /// each occurrence into an ordered map (sorted distinct k-mers with their
+    /// multiplicities).
+    ///
+    /// [`Read::canonical_kmers`]: megis_genomics::read::Read::canonical_kmers
     pub fn count(reads: &ReadSet, k: usize) -> KmerCounts {
-        let mut occurrences: Vec<Kmer> = Vec::new();
+        if k <= 32 {
+            Self::count_payloads::<u64>(reads, k)
+        } else {
+            Self::count_payloads::<u128>(reads, k)
+        }
+    }
+
+    fn count_payloads<P: Payload>(reads: &ReadSet, k: usize) -> KmerCounts {
+        let mut payloads: Vec<P> = Vec::with_capacity(reads.total_kmers(k));
         for read in reads.iter() {
-            for kmer in read.kmers(k) {
-                occurrences.push(kmer.canonical());
-            }
+            payloads.extend(read.canonical_kmers(k).map(|kmer| P::truncate(kmer.bits())));
         }
-        occurrences.sort_unstable();
-        let mut counts: Vec<(Kmer, u32)> = Vec::new();
-        for kmer in occurrences {
-            match counts.last_mut() {
-                Some((last, count)) if *last == kmer => *count += 1,
-                _ => counts.push((kmer, 1)),
-            }
-        }
+        payloads.sort_unstable();
+        let mut counts = Vec::with_capacity(payloads.chunk_by(|a, b| a == b).count());
+        counts.extend(
+            payloads
+                .chunk_by(|a, b| a == b)
+                .map(|run| (Kmer::from_bits(run[0].into(), k), run.len() as u32)),
+        );
         KmerCounts { counts }
     }
 
@@ -109,6 +142,8 @@ mod tests {
     use super::*;
     use megis_genomics::dna::PackedSequence;
     use megis_genomics::read::Read;
+    use megis_genomics::sample::{CommunityConfig, Diversity};
+    use std::collections::BTreeMap;
 
     fn reads() -> ReadSet {
         ReadSet::from_reads(vec![
@@ -125,6 +160,36 @@ mod tests {
         assert!(counts.entries().windows(2).all(|w| w[0].0 < w[1].0));
         // 3 reads × 6 k-mers each.
         assert_eq!(counts.total_occurrences(), 18);
+    }
+
+    #[test]
+    fn count_matches_btreemap_reference_on_both_payload_widths() {
+        let community = CommunityConfig::preset(Diversity::Low)
+            .with_reads(120)
+            .with_database_species(6)
+            .build(14);
+        let mut reads: Vec<Read> = community.sample().reads().iter().cloned().collect();
+        // Reverse-complement duplicates and reads at and around k.
+        for (i, read) in reads.clone().iter().take(20).enumerate() {
+            reads.push(Read::new(
+                format!("rc{i}"),
+                read.sequence().reverse_complement(),
+            ));
+            let short = read.sequence().subsequence(0, 29 + i % 20);
+            reads.push(Read::new(format!("short{i}"), short));
+        }
+        let reads = ReadSet::from_reads(reads);
+        for k in [31, 45] {
+            let mut reference: BTreeMap<Kmer, u32> = BTreeMap::new();
+            for read in reads.iter() {
+                for kmer in read.kmers(k) {
+                    *reference.entry(kmer.canonical()).or_insert(0) += 1;
+                }
+            }
+            let reference: Vec<(Kmer, u32)> = reference.into_iter().collect();
+            assert!(reference.iter().any(|(_, c)| *c > 1), "k = {k}");
+            assert_eq!(KmerCounts::count(&reads, k).entries(), reference, "k = {k}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use megis_genomics::kmer::Kmer;
+use megis_genomics::kmer::{CanonicalKmerExtractor, Kmer};
 use megis_genomics::profile::{AbundanceProfile, PresenceResult};
 use megis_genomics::read::{Read, ReadSet};
 use megis_genomics::reference::ReferenceCollection;
@@ -53,8 +53,7 @@ impl KrakenClassifier {
         let taxonomy = references.taxonomy().clone();
         let mut table: HashMap<Kmer, TaxId> = HashMap::new();
         for genome in references.genomes() {
-            for kmer in megis_genomics::kmer::KmerExtractor::new(genome.sequence(), k) {
-                let canon = kmer.canonical();
+            for canon in CanonicalKmerExtractor::new(genome.sequence(), k) {
                 table
                     .entry(canon)
                     .and_modify(|t| *t = taxonomy.lca(*t, genome.taxid()))
@@ -100,8 +99,8 @@ impl KrakenClassifier {
     pub fn classify_read(&self, read: &Read) -> Option<TaxId> {
         let mut hits: HashMap<TaxId, u32> = HashMap::new();
         let mut total = 0u32;
-        for kmer in read.kmers(self.k) {
-            if let Some(tax) = self.table.get(&kmer.canonical()) {
+        for kmer in read.canonical_kmers(self.k) {
+            if let Some(tax) = self.table.get(&kmer) {
                 *hits.entry(*tax).or_insert(0) += 1;
                 total += 1;
             }
